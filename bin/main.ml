@@ -74,43 +74,13 @@ let algorithm_arg =
     & info [ "algorithm" ] ~docv:"ALG"
         ~doc:"Risk-group algorithm: $(b,minimal) (exact) or $(b,sampling).")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("enum", `Enum); ("bdd", `Bdd); ("auto", `Auto) ]) `Auto
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Exact minimal-RG engine: $(b,enum) (bottom-up enumeration with \
-           absorption), $(b,bdd) (symbolic BDD minimal-solutions pass, no \
-           family budget), or $(b,auto) (enumeration, falling back to BDD \
-           when the cut-set budget trips). All three return identical \
-           families. Ignored with --algorithm sampling.")
-
-let max_family_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-family" ] ~docv:"N"
-        ~doc:
-          "Cut-set budget of the $(b,enum) engine: abort (or, under \
-           $(b,--engine auto), switch to the BDD engine) when a minimized \
-           intermediate family exceeds $(docv) sets (default 500000).")
-
-(* Budget overruns of the enumeration engine surface as a clean error
-   instead of an uncaught Too_many_cut_sets crash. *)
-let with_budget_errors ?max_family f =
+(* A --servers entry the database has no records for is a usage
+   error, not a crash. *)
+let with_audit_errors f =
   try f ()
-  with Indaas_faultgraph.Cutset.Too_many_cut_sets n ->
-    let budget =
-      match max_family with Some b -> b | None -> 500_000
-    in
-    Printf.eprintf
-      "indaas: minimal-RG enumeration aborted: a minimized cut-set \
-       family reached %d sets, over the --max-family budget of %d.\n\
-       Retry with --engine bdd (exact, no family budget) or raise \
-       --max-family.\n"
-      n budget;
-    exit 3
+  with Builder.Unknown_server server ->
+    Printf.eprintf "indaas: no dependency records for server %S\n" server;
+    exit 124
 
 let rounds_arg =
   Arg.(
@@ -191,24 +161,6 @@ let no_collector_spans ~disable () =
   && Obs_export.span_count ~name:"collect" (Obs.current ()) = 0
   && Obs_export.span_count ~name:"collect.source" (Obs.current ()) = 0
 
-let make_request servers required algorithm engine max_family rounds prob =
-  let algorithm =
-    match algorithm with
-    | `Minimal -> (
-        match engine with
-        | `Enum -> Sia_audit.Minimal_rg { max_size = None; max_family }
-        | `Bdd -> Sia_audit.Minimal_rg_bdd { max_size = None }
-        | `Auto -> Sia_audit.Auto_rg { max_size = None; max_family })
-    | `Sampling -> Sia_audit.failure_sampling ~rounds
-  in
-  let component_probability = Option.map Builder.uniform_probability prob in
-  let ranking =
-    match prob with
-    | Some _ -> Sia_audit.Probability_based
-    | None -> Sia_audit.Size_based
-  in
-  Sia_audit.request ~required ?component_probability ~algorithm ~ranking servers
-
 (* --- indaas lint ------------------------------------------------------- *)
 
 let disable_arg =
@@ -267,9 +219,16 @@ let lint_cmd =
               let servers =
                 match servers with Some s -> s | None -> Depdb.machines db
               in
-              match Builder.build db (Builder.spec ~required servers) with
-              | g -> Lint.run ~disable (base @ [ Lint.Fault_graph g ])
-              | exception Invalid_argument msg ->
+              let built =
+                match Builder.build db (Builder.spec ~required servers) with
+                | g -> Ok g
+                | exception Invalid_argument msg -> Error msg
+                | exception Builder.Unknown_server s ->
+                    Error (Builder.unknown_server_message s)
+              in
+              match built with
+              | Ok g -> Lint.run ~disable (base @ [ Lint.Fault_graph g ])
+              | Error msg ->
                   let g007 =
                     if List.mem "IND-G007" disable then []
                     else [ Lint.construction_failure msg ]
@@ -367,8 +326,8 @@ let print_digest_arg =
            snapshots and keys result caching in $(b,indaas serve).")
 
 let sia_cmd =
-  let run db servers required algorithm engine max_family rounds prob json seed
-      strict disable faults trace metrics print_digest =
+  let run db servers required algorithm rounds prob json seed strict disable
+      faults trace metrics print_digest =
     let disable = List.concat disable in
     if print_digest then begin
       print_endline (Depdb.digest (load_db db));
@@ -412,11 +371,10 @@ let sia_cmd =
       enforce_strict ~strict ~disable db;
       let rng = Indaas_util.Prng.of_int seed in
       let request =
-        make_request servers required algorithm engine max_family rounds prob
+        Sia_audit.uniform_request ~required ~algorithm ~rounds ~prob servers
       in
       let report =
-        with_budget_errors ?max_family (fun () ->
-            Sia_audit.audit ~rng db request)
+        with_audit_errors (fun () -> Sia_audit.audit ~rng db request)
       in
       let report =
         match degradation with
@@ -475,9 +433,8 @@ let sia_cmd =
   let term =
     Term.(
       const run $ db_arg $ servers_arg $ required_arg $ algorithm_arg
-      $ engine_arg $ max_family_arg $ rounds_arg $ prob_arg $ json_arg
-      $ seed_arg $ strict_arg $ disable_arg $ fault_arg $ trace_arg
-      $ metrics_arg $ print_digest_arg)
+      $ rounds_arg $ prob_arg $ json_arg $ seed_arg $ strict_arg $ disable_arg
+      $ fault_arg $ trace_arg $ metrics_arg $ print_digest_arg)
   in
   Cmd.v
     (Cmd.info "sia" ~doc:"Structural independence audit of one deployment.")
@@ -542,18 +499,18 @@ let chaos_cmd =
 (* --- indaas compare ------------------------------------------------------ *)
 
 let compare_cmd =
-  let run db candidates required algorithm engine max_family rounds prob json
-      seed trace metrics =
+  let run db candidates required algorithm rounds prob json seed trace
+      metrics =
     enable_obs ~trace ~metrics ~seed ();
     let reports =
       Obs.with_span "sia.compare" @@ fun () ->
       let db = Obs.with_span "collect" (fun () -> load_db db) in
       let rng = Indaas_util.Prng.of_int seed in
       let request =
-        make_request [] required algorithm engine max_family rounds prob
+        Sia_audit.uniform_request ~required ~algorithm ~rounds ~prob []
       in
       let candidates = List.map (String.split_on_char ',') candidates in
-      with_budget_errors ?max_family (fun () ->
+      with_audit_errors (fun () ->
           Sia_audit.audit_candidates ~rng db ~candidates request)
     in
     if json then
@@ -573,8 +530,7 @@ let compare_cmd =
   let term =
     Term.(
       const run $ db_arg $ candidates_arg $ required_arg $ algorithm_arg
-      $ engine_arg $ max_family_arg $ rounds_arg $ prob_arg $ json_arg
-      $ seed_arg $ trace_arg $ metrics_arg)
+      $ rounds_arg $ prob_arg $ json_arg $ seed_arg $ trace_arg $ metrics_arg)
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Rank candidate deployments by independence.")
@@ -754,11 +710,13 @@ let case_cmd =
 (* --- indaas dot ----------------------------------------------------------------- *)
 
 let dot_cmd =
-  let run db servers required output strict disable engine max_family
-      highlight_rg =
+  let run db servers required output strict disable highlight_rg =
     let db = load_db db in
     enforce_strict ~strict ~disable:(List.concat disable) db;
-    let graph = Builder.build db (Builder.spec ~required servers) in
+    let graph =
+      with_audit_errors (fun () ->
+          Builder.build db (Builder.spec ~required servers))
+    in
     let highlight =
       match highlight_rg with
       | None -> None
@@ -767,20 +725,7 @@ let dot_cmd =
             prerr_endline "indaas dot: --highlight-rg ranks start at 1";
             exit 124
           end;
-          let rgs =
-            with_budget_errors ?max_family (fun () ->
-                match engine with
-                | `Bdd -> Indaas_faultgraph.Bdd.minimal_risk_groups graph
-                | `Enum ->
-                    Indaas_faultgraph.Cutset.minimal_risk_groups ?max_family
-                      graph
-                | `Auto -> (
-                    try
-                      Indaas_faultgraph.Cutset.minimal_risk_groups ?max_family
-                        graph
-                    with Indaas_faultgraph.Cutset.Too_many_cut_sets _ ->
-                      Indaas_faultgraph.Bdd.minimal_risk_groups graph))
-          in
+          let rgs = Sia_audit.risk_groups graph in
           if rank > List.length rgs then begin
             Printf.eprintf
               "indaas dot: --highlight-rg %d, but the deployment has only %d \
@@ -809,13 +754,13 @@ let dot_cmd =
       & info [ "highlight-rg" ] ~docv:"RANK"
           ~doc:
             "Highlight the $(docv)-th minimal risk group (1 = smallest, in \
-             canonical family order), computed with the selected --engine.")
+             canonical family order).")
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Export a deployment's fault graph in Graphviz format.")
     Term.(
       const run $ db_arg $ servers_arg $ required_arg $ output_arg $ strict_arg
-      $ disable_arg $ engine_arg $ max_family_arg $ highlight_arg)
+      $ disable_arg $ highlight_arg)
 
 (* --- indaas importance ------------------------------------------------------------ *)
 
@@ -826,11 +771,8 @@ let importance_cmd =
       Builder.spec ~required
         ~component_probability:(Builder.uniform_probability prob) servers
     in
-    let graph = Builder.build db spec in
-    let rgs =
-      with_budget_errors (fun () ->
-          Indaas_faultgraph.Cutset.minimal_risk_groups graph)
-    in
+    let graph = with_audit_errors (fun () -> Builder.build db spec) in
+    let rgs = Sia_audit.risk_groups graph in
     Printf.printf "Pr(deployment fails) = %.6g (exact, BDD)\n\n"
       (Indaas_faultgraph.Bdd.graph_probability graph);
     print_endline
@@ -903,12 +845,12 @@ let gen_cmd =
 let coverage_cmd =
   let run db servers required bias checkpoints seed =
     let db = load_db db in
-    let graph = Builder.build db (Builder.spec ~required servers) in
-    let rng = Indaas_util.Prng.of_int seed in
-    let rgs =
-      with_budget_errors (fun () ->
-          Indaas_faultgraph.Cutset.minimal_risk_groups graph)
+    let graph =
+      with_audit_errors (fun () ->
+          Builder.build db (Builder.spec ~required servers))
     in
+    let rng = Indaas_util.Prng.of_int seed in
+    let rgs = Sia_audit.risk_groups graph in
     Printf.printf "%d minimal risk groups (exact)\n" (List.length rgs);
     let points =
       Indaas_faultgraph.Sampling.coverage ~failure_bias:bias rng graph
@@ -1057,8 +999,8 @@ let client_cmd =
     Buffer.contents buf
   in
   let run decode only snapshot submits audit_flag rg_query_flag compares
-      servers required engine max_family algorithm rounds prob seed deadline
-      repeat stats_flag shutdown_flag =
+      servers required algorithm rounds prob seed deadline repeat stats_flag
+      shutdown_flag =
     if decode then begin
       set_binary_mode_in stdin true;
       let responses =
@@ -1093,8 +1035,6 @@ let client_cmd =
         {
           Client.snapshot;
           required;
-          engine;
-          max_family;
           algorithm;
           rounds;
           prob;
@@ -1230,20 +1170,6 @@ let client_cmd =
       & info [ "required" ] ~docv:"N"
           ~doc:"Replicas that must stay alive (server default: 1).")
   in
-  let engine_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Minimal-RG engine: $(b,enum), $(b,bdd) or $(b,auto).")
-  in
-  let max_family_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-family" ] ~docv:"N"
-          ~doc:"Cut-set budget of the enumeration engine.")
-  in
   let algorithm_arg =
     Arg.(
       value
@@ -1294,8 +1220,8 @@ let client_cmd =
     Term.(
       const run $ decode_arg $ only_arg $ snapshot_arg $ submit_arg
       $ audit_arg $ rg_query_arg $ compare_arg $ servers_arg $ required_arg
-      $ engine_arg $ max_family_arg $ algorithm_arg $ rounds_arg $ prob_arg
-      $ seed_arg $ deadline_arg $ repeat_arg $ stats_arg $ shutdown_arg)
+      $ algorithm_arg $ rounds_arg $ prob_arg $ seed_arg $ deadline_arg
+      $ repeat_arg $ stats_arg $ shutdown_arg)
   in
   Cmd.v
     (Cmd.info "client"

@@ -14,6 +14,7 @@ type manager = {
   unique : (int * int * int, int) Hashtbl.t; (* (var, low, high) -> node *)
   apply_cache : (int * int * int, int) Hashtbl.t; (* (op, a, b) -> node *)
   rank_to_basic : Graph.node_id array;
+  rank_of : (Graph.node_id, int) Hashtbl.t; (* inverse of rank_to_basic *)
   (* Minimal-solutions (Rauzy) pass: cut-set families live in a
      zero-suppressed sub-store of the same manager. ZDD node 0 is the
      empty family, node 1 the family {∅}; a decision node (x, lo, hi)
@@ -30,7 +31,7 @@ type manager = {
 let terminal_false = 0
 let terminal_true = 1
 
-let create rank_to_basic =
+let create rank_to_basic rank_of =
   let initial = 1024 in
   let m =
     {
@@ -41,6 +42,7 @@ let create rank_to_basic =
       unique = Hashtbl.create 1024;
       apply_cache = Hashtbl.create 4096;
       rank_to_basic;
+      rank_of;
       zvar = Array.make initial max_int;
       zlow = Array.make initial (-1);
       zhigh = Array.make initial (-1);
@@ -178,7 +180,7 @@ let of_graph g =
   let basics = Graph.basic_ids g in
   let rank_of = Hashtbl.create (Array.length basics) in
   Array.iteri (fun rank id -> Hashtbl.replace rank_of id rank) basics;
-  let m = create (Array.copy basics) in
+  let m = create (Array.copy basics) rank_of in
   let memo : node option array = Array.make (Graph.node_count g) None in
   Array.iter
     (fun id ->
@@ -205,6 +207,14 @@ let of_graph g =
     (Graph.topological_order g);
   let top = match memo.(Graph.top g) with Some b -> b | None -> assert false in
   (m, top)
+
+let of_family m rgs =
+  let var id = mk m (Hashtbl.find m.rank_of id) terminal_false terminal_true in
+  List.fold_left
+    (fun acc rg ->
+      apply m Op_or acc
+        (Array.fold_left (fun c id -> apply m Op_and c (var id)) terminal_true rg))
+    terminal_false rgs
 
 let size m = m.next - 2
 

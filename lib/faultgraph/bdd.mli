@@ -18,6 +18,13 @@ type node
 val of_graph : Graph.t -> manager * node
 (** Compiles the top event. AND/OR/k-of-n gates are supported. *)
 
+val of_family : manager -> Graph.node_id array list -> node
+(** The union of the given risk groups — an OR of ANDs over basic
+    events of the compiled graph — built in the same manager, so its
+    probability comes from {!probability}. An empty list is the
+    constant false. Raises [Not_found] on an id that is not a basic
+    event of the graph. *)
+
 val size : manager -> int
 (** Unique decision nodes allocated in the manager. *)
 

@@ -10,32 +10,49 @@ let prob_exn g id =
   | Some p -> p
   | None -> raise (Probability.Missing_probability (Graph.name_of g id))
 
-let conditioned_probability g ~component ~value =
+(* Both measures read one compiled diagram: Birnbaum conditions the
+   top event on the component, Fussell–Vesely evaluates the union of
+   the RGs containing it, built in the same manager. *)
+type compiled = {
+  m : Bdd.manager;
+  top : Bdd.node;
+  prob_of : Graph.node_id -> float;
+  pr_top : float;
+}
+
+let compile g =
   let m, top = Bdd.of_graph g in
-  Bdd.probability m top ~prob_of:(fun id ->
-      if id = component then (if value then 1. else 0.) else prob_exn g id)
+  let prob_of = prob_exn g in
+  { m; top; prob_of; pr_top = Bdd.probability m top ~prob_of }
 
-let birnbaum g ~component =
-  conditioned_probability g ~component ~value:true
-  -. conditioned_probability g ~component ~value:false
-
-let fussell_vesely ?max_terms g ~rgs ~component =
-  let containing =
-    List.filter (fun rg -> Array.exists (fun id -> id = component) rg) rgs
+let birnbaum_in c ~component =
+  let conditioned value =
+    Bdd.probability c.m c.top ~prob_of:(fun id ->
+        if id = component then (if value then 1. else 0.) else c.prob_of id)
   in
-  let top = Probability.top_probability_exact ?max_terms g ~rgs in
-  if top <= 0. then 0.
-  else
-    Probability.top_probability_exact ?max_terms g ~rgs:containing /. top
+  conditioned true -. conditioned false
 
-let rank_components ?max_terms g ~rgs =
+let fussell_vesely_in c ~rgs ~component =
+  if c.pr_top <= 0. then 0.
+  else
+    let containing = List.filter (Array.exists (fun id -> id = component)) rgs in
+    Bdd.probability c.m (Bdd.of_family c.m containing) ~prob_of:c.prob_of
+    /. c.pr_top
+
+let birnbaum g ~component = birnbaum_in (compile g) ~component
+
+let fussell_vesely g ~rgs ~component =
+  fussell_vesely_in (compile g) ~rgs ~component
+
+let rank_components g ~rgs =
+  let c = compile g in
   Array.to_list (Graph.basic_ids g)
   |> List.map (fun component ->
          {
            component;
            component_name = Graph.name_of g component;
-           birnbaum = birnbaum g ~component;
-           fussell_vesely = fussell_vesely ?max_terms g ~rgs ~component;
+           birnbaum = birnbaum_in c ~component;
+           fussell_vesely = fussell_vesely_in c ~rgs ~component;
          })
   |> List.sort (fun a b ->
          match compare b.birnbaum a.birnbaum with

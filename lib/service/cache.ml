@@ -1,12 +1,7 @@
 module Json = Indaas_util.Json
 module Obs = Indaas_obs.Registry
 
-type key = {
-  snapshot_digest : string;
-  spec_digest : string;
-  engine : string;
-  budget : int option;
-}
+type key = { snapshot_digest : string; spec_digest : string }
 
 type entry = { value : Json.t; mutable used : int }
 

@@ -1,13 +1,13 @@
 (** The RG/audit result cache.
 
     Entries are keyed by (snapshot content digest, request spec
-    digest, engine, family budget) — everything a deterministic audit
-    result is a function of. Both digests are canonical, so two
-    textually different submissions with equal record sets share
-    entries, and a delta submission that changes the record set
-    changes the snapshot digest, orphaning the old entries; the server
-    then calls {!invalidate_snapshot} with the {e old} digest to
-    reclaim exactly the affected snapshot's entries and nothing else.
+    digest) — everything a deterministic audit result is a function
+    of. Both digests are canonical, so two textually different
+    submissions with equal record sets share entries, and a delta
+    submission that changes the record set changes the snapshot
+    digest, orphaning the old entries; the server then calls
+    {!invalidate_snapshot} with the {e old} digest to reclaim exactly
+    the affected snapshot's entries and nothing else.
 
     Hits and misses are counted locally (for the [stats] method) and
     mirrored into {!Indaas_obs} as [service.cache.hit] /
@@ -15,12 +15,7 @@
 
 module Json := Indaas_util.Json
 
-type key = {
-  snapshot_digest : string;
-  spec_digest : string;
-  engine : string;  (** ["enum"], ["bdd"], ["auto"], ["sampling"] *)
-  budget : int option;  (** the enumeration engine's family budget *)
-}
+type key = { snapshot_digest : string; spec_digest : string }
 
 type t
 

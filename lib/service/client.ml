@@ -19,8 +19,6 @@ let submit_deps ~id ?(snapshot = "default") ~source ~records () =
 type audit_options = {
   snapshot : string option;
   required : int option;
-  engine : string option;
-  max_family : int option;
   algorithm : string option;
   rounds : int option;
   prob : float option;
@@ -32,8 +30,6 @@ let audit_options =
   {
     snapshot = None;
     required = None;
-    engine = None;
-    max_family = None;
     algorithm = None;
     rounds = None;
     prob = None;
@@ -49,8 +45,6 @@ let option_params o =
   in
   field "snapshot" o.snapshot (fun s -> Json.String s)
   @ field "required" o.required (fun i -> Json.Int i)
-  @ field "engine" o.engine (fun s -> Json.String s)
-  @ field "max-family" o.max_family (fun i -> Json.Int i)
   @ field "algorithm" o.algorithm (fun s -> Json.String s)
   @ field "rounds" o.rounds (fun i -> Json.Int i)
   @ field "prob" o.prob (fun f -> Json.Float f)

@@ -19,8 +19,6 @@ val submit_deps :
 type audit_options = {
   snapshot : string option;
   required : int option;
-  engine : string option;
-  max_family : int option;
   algorithm : string option;
   rounds : int option;
   prob : float option;

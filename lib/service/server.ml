@@ -8,7 +8,6 @@ module Builder = Indaas_sia.Builder
 module Sia_audit = Indaas_sia.Audit
 module Sia_report = Indaas_sia.Report
 module Cutset = Indaas_faultgraph.Cutset
-module Bdd = Indaas_faultgraph.Bdd
 
 type config = {
   seed : int;
@@ -70,12 +69,6 @@ let int_param ~default name params =
   | Some _ -> bad "parameter %S must be an integer" name
   | None -> default
 
-let int_opt_param name params =
-  match Json.member name params with
-  | Some (Json.Int i) -> Some i
-  | Some _ -> bad "parameter %S must be an integer" name
-  | None -> None
-
 let float_opt_param name params =
   match Json.member name params with
   | Some (Json.Float f) -> Some f
@@ -95,12 +88,14 @@ let string_list_param name params =
   | Some _ -> bad "parameter %S must be a list of strings" name
   | None -> None
 
-let engine_param params =
-  match str_param ~default:"auto" "engine" params with
-  | "enum" -> `Enum
-  | "bdd" -> `Bdd
-  | "auto" -> `Auto
-  | e -> bad "unknown engine %S (enum, bdd or auto)" e
+(* v1 requests may name an exact engine and an enumeration budget.
+   Every exact audit runs the one BDD engine, so both are validated
+   and otherwise ignored. *)
+let check_legacy_params params =
+  (match str_param ~default:"auto" "engine" params with
+  | "enum" | "bdd" | "auto" -> ()
+  | e -> bad "unknown engine %S (enum, bdd or auto)" e);
+  ignore (int_param ~default:0 "max-family" params)
 
 (* --- audit parameter block --------------------------------------------- *)
 
@@ -111,8 +106,6 @@ type audit_params = {
   snapshot : string;
   servers : string list;
   required : int;
-  engine : [ `Enum | `Bdd | `Auto ];
-  max_family : int option;
   algorithm : [ `Minimal | `Sampling ];
   rounds : int;
   prob : float option;
@@ -126,6 +119,7 @@ let audit_params t params =
     | "sampling" -> `Sampling
     | a -> bad "unknown algorithm %S (minimal or sampling)" a
   in
+  check_legacy_params params;
   {
     snapshot = str_param ~default:"default" "snapshot" params;
     servers =
@@ -134,22 +128,12 @@ let audit_params t params =
       | Some servers -> servers
       | None -> bad "missing parameter \"servers\"");
     required = int_param ~default:1 "required" params;
-    engine = engine_param params;
-    max_family = int_opt_param "max-family" params;
     algorithm;
     rounds = int_param ~default:10_000 "rounds" params;
     prob = float_opt_param "prob" params;
     audit_seed = int_param ~default:t.config.seed "seed" params;
   }
 
-let engine_name p =
-  match p.algorithm with
-  | `Sampling -> "sampling"
-  | `Minimal -> (
-      match p.engine with `Enum -> "enum" | `Bdd -> "bdd" | `Auto -> "auto")
-
-(* The engine and family budget live in their own cache-key fields;
-   the spec digest covers the rest of the request. *)
 let spec_digest ~meth p =
   let prob =
     match p.prob with Some f -> Json.Float f | None -> Json.Null
@@ -174,30 +158,11 @@ let cache_key ~meth ~(view : Snapshot.view) p =
   {
     Cache.snapshot_digest = view.Snapshot.digest;
     spec_digest = spec_digest ~meth p;
-    engine = engine_name p;
-    budget = p.max_family;
   }
 
 let sia_request p =
-  let algorithm =
-    match p.algorithm with
-    | `Minimal -> (
-        match p.engine with
-        | `Enum ->
-            Sia_audit.Minimal_rg { max_size = None; max_family = p.max_family }
-        | `Bdd -> Sia_audit.Minimal_rg_bdd { max_size = None }
-        | `Auto ->
-            Sia_audit.Auto_rg { max_size = None; max_family = p.max_family })
-    | `Sampling -> Sia_audit.failure_sampling ~rounds:p.rounds
-  in
-  let component_probability = Option.map Builder.uniform_probability p.prob in
-  let ranking =
-    match p.prob with
-    | Some _ -> Sia_audit.Probability_based
-    | None -> Sia_audit.Size_based
-  in
-  Sia_audit.request ~required:p.required ?component_probability ~algorithm
-    ~ranking p.servers
+  Sia_audit.uniform_request ~required:p.required ~algorithm:p.algorithm
+    ~rounds:p.rounds ~prob:p.prob p.servers
 
 let lookup_snapshot t name =
   match Snapshot.get t.store ~snapshot:name with
@@ -211,11 +176,8 @@ let lookup_snapshot t name =
 let guarded f =
   match f () with
   | result -> result
-  | exception Cutset.Too_many_cut_sets n ->
-      fail_code "budget-exceeded"
-        "minimal-RG enumeration reached %d cut sets, over the family \
-         budget; retry with engine \"bdd\" or a larger \"max-family\""
-        n
+  | exception Builder.Unknown_server server ->
+      bad "%s" (Builder.unknown_server_message server)
   | exception Invalid_argument msg -> bad "%s" msg
   | exception Failure msg -> fail_code "audit-error" "%s" msg
 
@@ -323,14 +285,7 @@ let rg_query t params =
   guarded @@ fun () ->
   let spec = Builder.spec ~required:p.required p.servers in
   let graph = Builder.build view.Snapshot.db spec in
-  let rgs =
-    match p.engine with
-    | `Bdd -> Bdd.minimal_risk_groups graph
-    | `Enum -> Cutset.minimal_risk_groups ?max_family:p.max_family graph
-    | `Auto -> (
-        try Cutset.minimal_risk_groups ?max_family:p.max_family graph
-        with Cutset.Too_many_cut_sets _ -> Bdd.minimal_risk_groups graph)
-  in
+  let rgs = Sia_audit.risk_groups graph in
   Json.Obj
     [
       ("count", Json.Int (List.length rgs));

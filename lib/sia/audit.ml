@@ -5,15 +5,9 @@ module Sampling = Indaas_faultgraph.Sampling
 module Prng = Indaas_util.Prng
 module Obs = Indaas_obs.Registry
 
-type rg_algorithm =
-  | Minimal_rg of { max_size : int option; max_family : int option }
-  | Minimal_rg_bdd of { max_size : int option }
-  | Auto_rg of { max_size : int option; max_family : int option }
-  | Failure_sampling of Sampling.config
+type rg_algorithm = Minimal_rg | Failure_sampling of Sampling.config
 
-let minimal_rg = Minimal_rg { max_size = None; max_family = None }
-let minimal_rg_bdd = Minimal_rg_bdd { max_size = None }
-let auto_rg = Auto_rg { max_size = None; max_family = None }
+let minimal_rg = Minimal_rg
 
 let failure_sampling ~rounds =
   Failure_sampling { Sampling.default_config with Sampling.rounds }
@@ -36,6 +30,16 @@ let request ?required ?component_probability ?(algorithm = minimal_rg)
     top_n;
   }
 
+let uniform_request ~required ~algorithm ~rounds ~prob servers =
+  let algorithm =
+    match algorithm with
+    | `Minimal -> minimal_rg
+    | `Sampling -> failure_sampling ~rounds
+  in
+  let component_probability = Option.map Builder.uniform_probability prob in
+  let ranking = if prob = None then Size_based else Probability_based in
+  request ~required ?component_probability ~algorithm ~ranking servers
+
 type deployment_report = {
   servers : string list;
   graph : Graph.t;
@@ -48,36 +52,24 @@ type deployment_report = {
 }
 
 let algorithm_label = function
-  | Minimal_rg _ -> "minimal_rg"
-  | Minimal_rg_bdd _ -> "minimal_rg_bdd"
-  | Auto_rg _ -> "auto_rg"
+  | Minimal_rg -> "minimal_rg"
   | Failure_sampling _ -> "failure_sampling"
 
-let determine_rgs rng algorithm graph =
-  match algorithm with
-  | Minimal_rg { max_size; max_family } ->
-      Cutset.minimal_risk_groups ?max_size ?max_family graph
-  | Minimal_rg_bdd { max_size } -> Bdd.minimal_risk_groups ?max_size graph
-  | Auto_rg { max_size; max_family } -> (
-      (* Enumeration with absorption is the fast path on the sparse
-         graphs audits usually see; when its family budget trips, the
-         symbolic engine computes the identical family without ever
-         materializing intermediate ones. *)
-      try Cutset.minimal_risk_groups ?max_size ?max_family graph
-      with Cutset.Too_many_cut_sets _ -> Bdd.minimal_risk_groups ?max_size graph)
-  | Failure_sampling config ->
-      (Sampling.run ~config rng graph).Sampling.risk_groups
+let risk_groups ?(rng = Prng.of_int 0xD1CE) ?(algorithm = minimal_rg) graph =
+  Obs.with_span "minimize" ~attrs:[ ("algorithm", algorithm_label algorithm) ]
+  @@ fun () ->
+  let rgs =
+    match algorithm with
+    | Minimal_rg -> Bdd.minimal_risk_groups graph
+    | Failure_sampling config ->
+        (Sampling.run ~config rng graph).Sampling.risk_groups
+  in
+  Obs.span_attr "risk_groups" (string_of_int (List.length rgs));
+  rgs
 
 let audit ?(rng = Prng.of_int 0xD1CE) db request =
   let graph = Builder.build db request.spec in
-  let rgs =
-    Obs.with_span "minimize"
-      ~attrs:[ ("algorithm", algorithm_label request.algorithm) ]
-    @@ fun () ->
-    let rgs = determine_rgs rng request.algorithm graph in
-    Obs.span_attr "risk_groups" (string_of_int (List.length rgs));
-    rgs
-  in
+  let rgs = risk_groups ~rng ~algorithm:request.algorithm graph in
   let ranked, score, failure_probability =
     Obs.with_span "rank" @@ fun () ->
     if Obs.on () then

@@ -8,33 +8,28 @@ module Cutset = Indaas_faultgraph.Cutset
 module Bdd = Indaas_faultgraph.Bdd
 module Sampling = Indaas_faultgraph.Sampling
 
-(** Pluggable RG-determination backend (§4.1.2). The three exact
-    backends return the identical family in identical order. *)
+(** RG-determination backend (§4.1.2). *)
 type rg_algorithm =
-  | Minimal_rg of { max_size : int option; max_family : int option }
-      (** bottom-up enumeration with absorption; exact, worst-case
-          exponential, raises {!Cutset.Too_many_cut_sets} past the
-          family budget *)
-  | Minimal_rg_bdd of { max_size : int option }
-      (** exact symbolic extraction: BDD compilation + Rauzy's
-          minimal-solutions pass ({!Bdd.minimal_risk_groups}) —
-          no family budget, slower on small sparse graphs *)
-  | Auto_rg of { max_size : int option; max_family : int option }
-      (** enumeration first; falls back to the BDD engine when the
-          enumeration budget trips *)
+  | Minimal_rg
+      (** exact: BDD compilation + Rauzy's minimal-solutions pass
+          ({!Bdd.minimal_risk_groups}); no family budget. Returns the
+          family {!Cutset.minimal_risk_groups} enumerates, in the same
+          canonical order. *)
   | Failure_sampling of Sampling.config  (** linear-time, incomplete *)
 
 val minimal_rg : rg_algorithm
-(** [Minimal_rg] with no size bound and the default family budget. *)
-
-val minimal_rg_bdd : rg_algorithm
-(** [Minimal_rg_bdd] with no size bound. *)
-
-val auto_rg : rg_algorithm
-(** [Auto_rg] with no size bound and the default family budget. *)
+(** [Minimal_rg]. *)
 
 val failure_sampling : rounds:int -> rg_algorithm
 (** Sampling with the paper's fair coins and witness shrinking. *)
+
+val risk_groups :
+  ?rng:Indaas_util.Prng.t -> ?algorithm:rg_algorithm -> Graph.t -> Cutset.rg list
+(** The minimal RGs of [graph] under [algorithm] (default
+    {!minimal_rg}), computed inside a [minimize] span. Every audit
+    path — {!audit}, the daemon's [rg-query], [indaas dot
+    --highlight-rg], [indaas importance] and [indaas coverage] —
+    determines its RGs here. [rng] drives sampling only. *)
 
 (** Ranking discipline (§4.1.3). *)
 type ranking = Size_based | Probability_based
@@ -56,6 +51,18 @@ val request :
   request
 (** Defaults: exact minimal-RG algorithm, size-based ranking, all RGs
     scored. *)
+
+val uniform_request :
+  required:int ->
+  algorithm:[ `Minimal | `Sampling ] ->
+  rounds:int ->
+  prob:float option ->
+  string list ->
+  request
+(** The request the [indaas sia]/[compare] flags and the daemon's
+    audit parameters describe: the exact engine, or [rounds] rounds of
+    failure sampling; a uniform component failure probability [prob]
+    switches to probability-based ranking. *)
 
 type deployment_report = {
   servers : string list;

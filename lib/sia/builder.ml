@@ -14,6 +14,11 @@ let spec ?(required = 1) ?(component_probability = fun _ -> None) servers =
 
 let uniform_probability p _ = Some p
 
+exception Unknown_server of string
+
+let unknown_server_message server =
+  Printf.sprintf "Builder.build: no dependency records for server %S" server
+
 let expected_rg_size s = List.length s.servers - s.required + 1
 
 let build db s =
@@ -93,9 +98,7 @@ let build db s =
     in
     (* Step 3: the server fails when any dependency category fails. *)
     match List.filter_map Fun.id [ network; hardware; software ] with
-    | [] ->
-        invalid_arg
-          (Printf.sprintf "Builder.build: no dependency records for server %S" server)
+    | [] -> raise (Unknown_server server)
     | children -> Graph.Builder.add_gate b ~name:server Graph.Or children
   in
   (* Step 2: servers under the redundancy gate. *)

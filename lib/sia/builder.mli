@@ -41,11 +41,19 @@ val uniform_probability : float -> string -> float option
 (** [uniform_probability p] assigns [p] to every component — the
     §6.2.1 cross-check assumption. *)
 
+exception Unknown_server of string
+(** A server with no records at all in the database: auditing a
+    machine the DAMs never saw is a specification error, not an
+    independent deployment. *)
+
+val unknown_server_message : string -> string
+(** ["Builder.build: no dependency records for server \"S\""] — the
+    text the daemon answers {!Unknown_server} with. *)
+
 val build : Indaas_depdata.Depdb.t -> spec -> Indaas_faultgraph.Graph.t
-(** Raises [Invalid_argument] if [spec.servers] is empty, [required]
-    is out of range, or a server has no records at all in the
-    database (auditing a machine the DAMs never saw is a
-    specification error, not an independent deployment). *)
+(** Raises {!Unknown_server} for a server without records, and
+    [Invalid_argument] if [spec.servers] is empty or [required] is out
+    of range. *)
 
 val expected_rg_size : spec -> int
 (** The intended minimal RG size: [#servers - required + 1]. A

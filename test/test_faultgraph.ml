@@ -889,13 +889,17 @@ let prop_top_event_iff_some_rg_contained =
       !ok)
 
 (* Random multi-level DAGs with AND/OR/k-of-n gates, derived
-   deterministically from a seed so qcheck can shrink over seeds. *)
-let random_dag seed =
+   deterministically from a seed so qcheck can shrink over seeds.
+   [weighted] attaches a random failure probability to every basic
+   event. *)
+let random_dag ?(weighted = false) seed =
   let rng = Prng.of_int seed in
   let b = Graph.Builder.create () in
   let n_basics = 3 + Prng.int rng 6 in
   let basics =
-    List.init n_basics (fun i -> Graph.Builder.add_basic b (Printf.sprintf "c%d" i))
+    List.init n_basics (fun i ->
+        let prob = if weighted then Some (Prng.float rng) else None in
+        Graph.Builder.add_basic b ?prob (Printf.sprintf "c%d" i))
   in
   let nodes = ref (Array.of_list basics) in
   let top = ref (List.hd basics) in
@@ -942,6 +946,32 @@ let prop_engines_agree_component_sets =
       Cutset.minimal_risk_groups g = Bdd.minimal_risk_groups g
       && Cutset.minimal_risk_groups ~max_size:2 g
          = Bdd.minimal_risk_groups ~max_size:2 g)
+
+(* Fussell–Vesely on the BDD against the inclusion–exclusion ratio it
+   replaced, wherever the latter is cheap (at most 12 RGs). *)
+let prop_fussell_vesely_matches_inclusion_exclusion =
+  QCheck.Test.make
+    ~name:"Fussell-Vesely on the BDD matches inclusion-exclusion" ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let g = random_dag ~weighted:true seed in
+      let rgs = Cutset.minimal_risk_groups g in
+      List.length rgs > 12
+      ||
+      let top = Probability.top_probability_exact g ~rgs in
+      Array.for_all
+        (fun component ->
+          let containing =
+            List.filter (Array.exists (fun id -> id = component)) rgs
+          in
+          let expected =
+            if top <= 0. then 0.
+            else Probability.top_probability_exact g ~rgs:containing /. top
+          in
+          Float.abs
+            (Importance.fussell_vesely g ~rgs ~component -. expected)
+          <= 1e-12)
+        (Graph.basic_ids g))
 
 let () =
   Alcotest.run "faultgraph"
@@ -1067,5 +1097,6 @@ let () =
           qtest prop_top_event_iff_some_rg_contained;
           qtest prop_engines_agree;
           qtest prop_engines_agree_component_sets;
+          qtest prop_fussell_vesely_matches_inclusion_exclusion;
         ] );
     ]

@@ -83,7 +83,7 @@ let test_unbuildable_machine () =
     (try
        ignore (Sia_builder.build db (Sia_builder.spec [ "Lonely" ]));
        false
-     with Invalid_argument _ -> true)
+     with Sia_builder.Unknown_server _ -> true)
 
 let test_leaf_program_hint () =
   let db = figure2_db () in

@@ -235,19 +235,19 @@ let test_snapshot_digest_source_invariant () =
 
 (* --- result cache -------------------------------------------------------- *)
 
-let key ?(snap = "d1") ?(spec = "s1") ?(engine = "auto") ?budget () =
-  { Cache.snapshot_digest = snap; spec_digest = spec; engine; budget }
+let key ?(snap = "d1") ?(spec = "s1") () =
+  { Cache.snapshot_digest = snap; spec_digest = spec }
 
 let test_cache_hits_and_misses () =
   let c = Cache.create () in
   check Alcotest.bool "cold miss" true (Cache.find c (key ()) = None);
   Cache.add c (key ()) (Json.Int 1);
   check json "hit" (Json.Int 1) (Option.get (Cache.find c (key ())));
-  (* Engine and budget are part of the key. *)
-  check Alcotest.bool "engine differs" true
-    (Cache.find c (key ~engine:"bdd" ()) = None);
-  check Alcotest.bool "budget differs" true
-    (Cache.find c (key ~budget:10 ()) = None);
+  (* The key is exactly the two digests: either one differing misses. *)
+  check Alcotest.bool "snapshot differs" true
+    (Cache.find c (key ~snap:"d2" ()) = None);
+  check Alcotest.bool "spec differs" true
+    (Cache.find c (key ~spec:"s2" ()) = None);
   let s = Cache.stats c in
   check Alcotest.int "hits" 1 s.Cache.hits;
   check Alcotest.int "misses" 3 s.Cache.misses;
@@ -370,9 +370,7 @@ let test_server_audit_matches_batch () =
   let direct =
     let db = Depdb.of_string table1 in
     let request =
-      Sia_audit.request ~required:1
-        ~algorithm:(Sia_audit.Auto_rg { max_size = None; max_family = None })
-        ~ranking:Sia_audit.Size_based [ "S1"; "S2" ]
+      Sia_audit.request ~required:1 ~ranking:Sia_audit.Size_based [ "S1"; "S2" ]
     in
     Sia_report.deployment_to_json
       (Sia_audit.audit ~rng:(Prng.of_int 42) db request)
@@ -391,6 +389,33 @@ let test_server_caches_repeats () =
   let options = { Client.audit_options with required = Some 2 } in
   ignore (ok_exn (Server.handle srv (audit_req ~id:4 ~options [ "S1"; "S2" ])));
   check Alcotest.int "distinct spec misses" 2 (Server.cache_stats srv).Cache.misses
+
+(* v1 requests may name an engine; every exact audit runs the one
+   engine, so the name changes neither the answer nor the cache
+   entry. *)
+let test_server_ignores_engine () =
+  let srv = submitted_server () in
+  let audit ~id engine =
+    let params =
+      ("servers", Json.List [ Json.String "S1"; Json.String "S2" ])
+      :: (match engine with
+         | Some e -> [ ("engine", Json.String e) ]
+         | None -> [])
+    in
+    Json.to_string
+      (ok_exn (Server.handle srv (req ~id "audit" ~params:(Json.Obj params))))
+  in
+  let answers =
+    List.mapi
+      (fun i e -> audit ~id:(i + 2) e)
+      [ Some "enum"; Some "bdd"; Some "auto"; None ]
+  in
+  List.iter
+    (fun a -> check Alcotest.string "byte-identical" (List.hd answers) a)
+    answers;
+  let s = Server.cache_stats srv in
+  check Alcotest.int "one computation" 1 s.Cache.misses;
+  check Alcotest.int "three hits" 3 s.Cache.hits
 
 let test_server_delta_invalidates_exactly () =
   let srv = Server.create () in
@@ -445,9 +470,13 @@ let test_server_error_responses () =
     (code (audit_req ~id:7 [ "S1"; "Nope" ]));
   check Alcotest.string "bad engine" "bad-request"
     (code
-       (audit_req ~id:8
-          ~options:{ Client.audit_options with engine = Some "quantum" }
-          [ "S1" ]));
+       (req ~id:8 "audit"
+          ~params:
+            (Json.Obj
+               [
+                 ("servers", Json.List [ Json.String "S1" ]);
+                 ("engine", Json.String "quantum");
+               ])));
   check Alcotest.string "unparsable records" "bad-request"
     (error_code
        (Server.handle srv
@@ -584,6 +613,7 @@ let () =
           Alcotest.test_case "audit matches batch" `Quick
             test_server_audit_matches_batch;
           Alcotest.test_case "caches repeats" `Quick test_server_caches_repeats;
+          Alcotest.test_case "engine ignored" `Quick test_server_ignores_engine;
           Alcotest.test_case "delta invalidation" `Quick
             test_server_delta_invalidates_exactly;
           Alcotest.test_case "error responses" `Quick test_server_error_responses;

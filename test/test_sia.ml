@@ -57,7 +57,7 @@ let test_build_validation () =
     (Invalid_argument "Builder.build: required out of range") (fun () ->
       ignore (Builder.build db (Builder.spec ~required:3 [ "S1"; "S2" ])));
   Alcotest.check_raises "unknown server"
-    (Invalid_argument "Builder.build: no dependency records for server \"ghost\"")
+    (Builder.Unknown_server "ghost")
     (fun () -> ignore (Builder.build db (Builder.spec [ "S1"; "ghost" ])))
 
 let test_build_with_probabilities () =
@@ -243,71 +243,27 @@ let test_choose_best_empty () =
     (Invalid_argument "Audit.choose_best: no candidates") (fun () ->
       ignore (Audit.choose_best db ~candidates:[] (Audit.request [])))
 
-module Bdd = Indaas_faultgraph.Bdd
-
+(* The audit's RGs are exactly what the §4.1.2 enumeration algorithm
+   computes, the oracle for the BDD engine behind every audit. *)
 let test_audit_bdd_engine_agrees () =
   let db = figure2_db () in
-  let names r =
-    List.sort compare (List.map (fun x -> x.Rank.rg_names) r.Audit.ranked)
+  let report = Audit.audit db (Audit.request [ "S1"; "S2" ]) in
+  let audited =
+    List.sort compare (List.map (fun x -> x.Rank.rg_names) report.Audit.ranked)
   in
-  let enum = Audit.audit db (Audit.request [ "S1"; "S2" ]) in
-  let bdd =
-    Audit.audit db (Audit.request ~algorithm:Audit.minimal_rg_bdd [ "S1"; "S2" ])
+  let enumerated =
+    List.sort compare
+      (List.map
+         (Cutset.names report.Audit.graph)
+         (Cutset.minimal_risk_groups report.Audit.graph))
   in
   check
     (Alcotest.list (Alcotest.list Alcotest.string))
-    "same RGs" (names enum) (names bdd)
+    "same RGs" enumerated audited
 
-(* Two servers with 20 disjoint hardware dependencies each: 400 minimal
-   RGs, far over a budget of 100. *)
-let dense_db () =
-  let db = Depdb.create () in
-  List.iter
-    (fun server ->
-      List.iter
-        (fun i ->
-          Depdb.add db
-            (Dependency.hardware ~hw:server
-               ~hw_type:(Printf.sprintf "T%d" i)
-               ~dep:(Printf.sprintf "%s-hw%d" server i)))
-        (List.init 20 Fun.id))
-    [ "S1"; "S2" ];
-  db
-
-let test_audit_auto_falls_back_to_bdd () =
-  let db = dense_db () in
-  let budgeted max_family =
-    Audit.Auto_rg { max_size = None; max_family = Some max_family }
-  in
-  (* the plain enumeration algorithm refuses this budget... *)
-  check Alcotest.bool "enum refuses" true
-    (try
-       ignore
-         (Audit.audit db
-            (Audit.request
-               ~algorithm:(Audit.Minimal_rg { max_size = None; max_family = Some 100 })
-               [ "S1"; "S2" ]));
-       false
-     with Cutset.Too_many_cut_sets _ -> true);
-  (* ...while Auto silently switches to the BDD engine and completes *)
-  let report =
-    Audit.audit db (Audit.request ~algorithm:(budgeted 100) [ "S1"; "S2" ])
-  in
-  check Alcotest.int "all 400 RGs" 400 (List.length report.Audit.ranked)
-
-let test_audit_auto_uses_enum_within_budget () =
-  let db = figure2_db () in
-  let auto =
-    Audit.audit db (Audit.request ~algorithm:Audit.auto_rg [ "S1"; "S2" ])
-  in
-  let enum = Audit.audit db (Audit.request [ "S1"; "S2" ]) in
-  let names r = List.map (fun x -> x.Rank.rg_names) r.Audit.ranked in
-  check
-    (Alcotest.list (Alcotest.list Alcotest.string))
-    "identical ranked output" (names enum) (names auto)
-
-(* Acceptance: on every examples/db database, both engines return
-   byte-identical minimal RG families for a representative deployment. *)
+(* Acceptance: on every examples/db database, the audit report's RG
+   list is byte-identical to the enumeration algorithm's family for a
+   representative deployment. *)
 let example_deployments =
   [
     ("figure2.xml", [ "S1"; "S2" ]);
@@ -336,10 +292,13 @@ let test_examples_engines_identical () =
     (fun (name, servers) ->
       let path = example_path name in
       let db = Depdb.of_string (read_file path) in
-      let g = Builder.build db (Builder.spec servers) in
-      let enum = Indaas_faultgraph.Cutset.minimal_risk_groups g in
-      let bdd = Bdd.minimal_risk_groups g in
-      check Alcotest.bool (path ^ ": identical families") true (enum = bdd);
+      let report = Audit.audit db (Audit.request servers) in
+      let audited =
+        List.sort Cutset.compare_rg
+          (List.map (fun x -> x.Rank.rg) report.Audit.ranked)
+      in
+      let enum = Cutset.minimal_risk_groups report.Audit.graph in
+      check Alcotest.bool (path ^ ": identical families") true (enum = audited);
       check Alcotest.bool (path ^ ": non-empty") true (enum <> []))
     example_deployments
 
@@ -432,10 +391,6 @@ let () =
           Alcotest.test_case "candidate ranking" `Quick test_audit_candidates_ranking;
           Alcotest.test_case "choose_best empty" `Quick test_choose_best_empty;
           Alcotest.test_case "BDD engine agrees" `Quick test_audit_bdd_engine_agrees;
-          Alcotest.test_case "auto falls back to BDD" `Quick
-            test_audit_auto_falls_back_to_bdd;
-          Alcotest.test_case "auto uses enumeration within budget" `Quick
-            test_audit_auto_uses_enum_within_budget;
           Alcotest.test_case "examples/db: engines byte-identical" `Quick
             test_examples_engines_identical;
         ] );
